@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- fig6    -- Figure 6 (power-delay trade-off)
      dune exec bench/main.exe -- guard   -- guard-on vs guard-off overhead
      dune exec bench/main.exe -- micro   -- bechamel micro-benchmarks
-     dune exec bench/main.exe -- parallel -- exact-check scaling vs --jobs
+     dune exec bench/main.exe -- parallel -- wall clock vs --jobs
      dune exec bench/main.exe -- serve   -- powder_serve load generator
      dune exec bench/main.exe -- pareto  -- frontier sweep, both cost models
      dune exec bench/main.exe -- quick   -- fast subset of everything
@@ -643,7 +643,7 @@ let guard () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Parallel scaling: speculative exact checks vs. --jobs.              *)
+(* Parallel scaling: sharded simulation and generation vs. --jobs.     *)
 (* ------------------------------------------------------------------ *)
 
 (* Reports at different job counts must agree on everything except the
@@ -659,7 +659,7 @@ let strip_volatile_report = function
   | other -> other
 
 let parallel () =
-  print_endline "=== Parallel scaling: exact-check wall clock vs --jobs ===";
+  print_endline "=== Parallel scaling: wall clock vs --jobs ===";
   let spec, gates =
     List.fold_left
       (fun best spec ->

@@ -36,10 +36,13 @@ let jobs_arg =
   Arg.(value
        & opt int (Par.Pool.default_jobs ())
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Parallel executors (1 disables the domain pool). Defaults \
-                 to the machine's recommended domain count, capped at 8. \
-                 Results are byte-identical for any value; only wall-clock \
-                 changes.")
+           ~doc:"Parallel executors (1 disables the domain pool). \
+                 optimize shards random-pattern simulation and candidate \
+                 generation across them and still exact-checks one \
+                 candidate at a time; pareto and fuzz run independent \
+                 points or cases in parallel. Defaults to the machine's \
+                 recommended domain count, capped at 8. Results are \
+                 byte-identical for any value; only wall-clock changes.")
 
 (* Like --jobs, the signature index is an execution-strategy knob:
    results are byte-identical either way (CI enforces it), so it stays

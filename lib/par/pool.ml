@@ -2,19 +2,25 @@
 
    Design:
 
-   - [create ~jobs] spawns [jobs - 1] worker domains; the submitting
-     (main) domain helps drain the queue, so [jobs] bounds total
-     parallelism and [jobs = 1] degenerates to inline sequential
-     execution with no domains spawned.
+   - A pool of [jobs] executors holds no domains between barriers.
+     Each [speculate] barrier spawns up to [jobs - 1] helper domains,
+     works alongside them on the submitting (main) domain, and joins
+     them before it returns, so [jobs] bounds total parallelism and
+     [jobs = 1] degenerates to inline sequential execution with no
+     domains spawned.  Spawning per barrier costs ~60 us a domain
+     (2-core x86-64, OCaml 5.1); a domain kept alive between barriers
+     costs more, because even an idle domain takes part in every
+     stop-the-world minor collection — that slowed the optimizer's
+     sequential exact checks by ~5% at [jobs = 2].
 
    - The only submission primitive is [speculate]: a full barrier that
      runs an array of closures and returns their outcomes.  Every task
      body executes under a private [Obs.Collector] (metrics shard +
-     trace buffer), so workers never touch the global registry or the
+     trace buffer), so helpers never touch the global registry or the
      sink.  Results are then walked on the main domain in index order:
-     [commit] merges the task's collector and yields its value (or
-     re-raises its exception with the original backtrace); [discard]
-     drops both.  Committing in index order is what makes parallel
+     [commit_result] merges the task's collector and yields its value
+     or its exception; [discard] drops both (the combinators' cleanup
+     after a raise).  Committing in index order is what makes parallel
      observable state byte-identical to a sequential run.
 
    - Cancellation is cooperative and conservative: a task that has not
@@ -24,21 +30,12 @@
      do, via their own budget plumbing).
 
    - Nested submission is rejected: a task body calling back into any
-     pool would deadlock under caller-help and break the determinism
-     story, so it raises [Invalid_argument] immediately. *)
+     pool would break the determinism story, so it raises
+     [Invalid_argument] immediately. *)
 
 module Deadline = Obs.Deadline
 
-type task_cell = { run : unit -> unit }
-
-type t = {
-  jobs : int;
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  queue : task_cell Queue.t;
-  mutable alive : bool;
-  mutable workers : unit Domain.t list;
-}
+type t = { jobs : int; mutable alive : bool }
 
 let jobs t = t.jobs
 
@@ -48,54 +45,13 @@ let default_jobs () = max 1 (min default_jobs_cap (Domain.recommended_domain_cou
 let in_task_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 let in_task () = Domain.DLS.get in_task_key
 
-let worker_loop t =
-  let rec loop () =
-    Mutex.lock t.lock;
-    let rec await () =
-      match Queue.take_opt t.queue with
-      | Some task -> Some task
-      | None ->
-        if not t.alive then None
-        else begin
-          Condition.wait t.nonempty t.lock;
-          await ()
-        end
-    in
-    let task = await () in
-    Mutex.unlock t.lock;
-    match task with
-    | None -> ()
-    | Some task ->
-      task.run ();
-      loop ()
-  in
-  loop ()
-
 let create ?jobs () =
   let jobs =
     match jobs with Some j -> max 1 j | None -> default_jobs ()
   in
-  let t =
-    {
-      jobs;
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
-      alive = true;
-      workers = [];
-    }
-  in
-  if jobs > 1 then
-    t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
+  { jobs; alive = true }
 
-let shutdown t =
-  Mutex.lock t.lock;
-  t.alive <- false;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.lock;
-  List.iter Domain.join t.workers;
-  t.workers <- []
+let shutdown t = t.alive <- false
 
 let with_pool ?jobs f =
   let t = create ?jobs () in
@@ -107,9 +63,9 @@ type 'b outcome =
   | Cancelled
 
 type 'b speculation = {
-  mutable outcome : 'b outcome option; (* None = pending *)
+  outcome : 'b outcome;
   mutable consumed : bool;
-      (* set by commit/commit_result/discard: each speculation's
+      (* set by commit_result/discard: each speculation's
          collector is merged or dropped exactly once, so cleanup
          finalizers can blanket-[discard] without double-counting *)
 }
@@ -133,81 +89,37 @@ let speculate t ?(deadline = Deadline.never) (fs : (unit -> 'b) array) :
     invalid_arg "Par.Pool.speculate: nested submission from inside a pool task";
   if not t.alive then invalid_arg "Par.Pool.speculate: pool is shut down";
   let n = Array.length fs in
-  let slots = Array.init n (fun _ -> { outcome = None; consumed = false }) in
-  let exec i =
-    let slot = slots.(i) in
-    if Deadline.expired deadline then slot.outcome <- Some Cancelled
-    else slot.outcome <- Some (run_collected fs.(i))
+  let outcomes = Array.make n Cancelled in
+  let next = Atomic.make 0 in
+  (* every executor claims the next unclaimed index until none is left;
+     [Domain.join] publishes the helpers' writes to the main domain *)
+  let rec drain () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      if not (Deadline.expired deadline) then outcomes.(i) <- run_collected fs.(i);
+      drain ()
+    end
   in
-  if n = 0 then slots
-  else if t.jobs = 1 then begin
-    for i = 0 to n - 1 do
-      exec i
-    done;
-    slots
-  end
-  else begin
-    let remaining = ref n in
-    let batch_done = Condition.create () in
-    let task i =
-      {
-        run =
-          (fun () ->
-            exec i;
-            Mutex.lock t.lock;
-            decr remaining;
-            if !remaining = 0 then Condition.broadcast batch_done;
-            Mutex.unlock t.lock);
-      }
-    in
-    Mutex.lock t.lock;
-    for i = 0 to n - 1 do
-      Queue.add (task i) t.queue
-    done;
-    Condition.broadcast t.nonempty;
-    (* the caller helps until the queue is empty, then waits for
-       in-flight tasks to finish *)
-    let rec drive () =
-      match Queue.take_opt t.queue with
-      | Some cell ->
-        Mutex.unlock t.lock;
-        cell.run ();
-        Mutex.lock t.lock;
-        drive ()
-      | None -> if !remaining > 0 then begin
-          Condition.wait batch_done t.lock;
-          drive ()
-        end
-    in
-    drive ();
-    Mutex.unlock t.lock;
-    slots
-  end
+  let helpers = List.init (max 0 (min t.jobs n - 1)) (fun _ -> Domain.spawn drain) in
+  drain ();
+  List.iter Domain.join helpers;
+  Array.map (fun outcome -> { outcome; consumed = false }) outcomes
 
-let cancelled s =
-  match s.outcome with Some Cancelled -> true | _ -> false
-
-(* Speculation accounting.  Both [commit] and [discard] only ever run
-   on the main domain, so plain registry counters are safe; the values
-   are a parallelism diagnostic (how much speculative work was thrown
-   away) and are deliberately NOT part of any report compared across
-   job counts. *)
+(* Speculation accounting.  Both [commit_result] and [discard] only
+   ever run on the main domain, so plain registry counters are safe;
+   the values are a parallelism diagnostic (how much work a raise or a
+   deadline threw away) and are deliberately NOT part of any report
+   compared across job counts. *)
 let m_committed = Obs.Metrics.counter "par.speculations.committed"
 let m_discarded = Obs.Metrics.counter "par.speculations.discarded"
 let m_cancelled = Obs.Metrics.counter "par.speculations.cancelled"
 
-let take what (s : 'b speculation) : 'b outcome =
-  match s.outcome with
-  | None -> invalid_arg ("Par.Pool." ^ what ^ ": speculation still pending")
-  | Some o ->
-    if s.consumed then
-      invalid_arg ("Par.Pool." ^ what ^ ": speculation already consumed");
-    s.consumed <- true;
-    o
-
 let commit_result (s : 'b speculation) :
     ('b, exn * Printexc.raw_backtrace) result option =
-  match take "commit_result" s with
+  if s.consumed then
+    invalid_arg "Par.Pool.commit_result: speculation already consumed";
+  s.consumed <- true;
+  match s.outcome with
   | Cancelled ->
     Obs.Metrics.incr m_cancelled;
     None
@@ -220,29 +132,23 @@ let commit_result (s : 'b speculation) :
     Obs.Metrics.incr m_committed;
     Some (Error (e, bt))
 
-let commit (s : 'b speculation) : 'b option =
-  match take "commit" s with
-  | Cancelled ->
-    Obs.Metrics.incr m_cancelled;
-    None
-  | Done (v, coll) ->
-    Obs.Collector.commit coll;
-    Obs.Metrics.incr m_committed;
-    Some v
-  | Raised (e, bt, coll) ->
-    Obs.Collector.commit coll;
-    Obs.Metrics.incr m_committed;
-    Printexc.raise_with_backtrace e bt
+(* [commit_result] that re-raises the task's exception with its
+   original backtrace: the combinators' internal consume step. *)
+let commit s =
+  match commit_result s with
+  | None -> None
+  | Some (Ok v) -> Some v
+  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
 
 let discard (s : _ speculation) =
-  if not s.consumed then
+  if not s.consumed then begin
+    s.consumed <- true;
     match s.outcome with
-    | Some (Done (_, coll)) | Some (Raised (_, _, coll)) ->
-      s.consumed <- true;
+    | Done (_, coll) | Raised (_, _, coll) ->
       Obs.Collector.discard coll;
       Obs.Metrics.incr m_discarded
-    | Some Cancelled -> s.consumed <- true
-    | None -> ()
+    | Cancelled -> ()
+  end
 
 (* Every combinator below blanket-discards the batch in a finalizer:
    if a commit re-raises a task's exception mid-walk, the collectors
@@ -281,41 +187,3 @@ let map_reduce t ?deadline ~map:f ~reduce ~init xs =
         | Some v -> acc := reduce !acc v
       done);
   !acc
-
-let find_first_accept t ?chunk ?deadline ~check ~screen ~commit:commitf xs =
-  let n = Array.length xs in
-  let chunk = match chunk with Some c -> max 1 c | None -> t.jobs in
-  let result = ref None in
-  let lo = ref 0 in
-  while !result = None && !lo < n do
-    let hi = min n (!lo + chunk) in
-    let m = hi - !lo in
-    let tasks = Array.make m (fun () -> assert false) in
-    for k = 0 to m - 1 do
-      let idx = !lo + k in
-      tasks.(k) <- (fun () -> check idx xs.(idx))
-    done;
-    let specs = speculate t ?deadline tasks in
-    (* the finalizer rolls back whatever the walk did not consume: the
-       tail of a chunk invalidated by an accept, or — if a committed
-       task re-raises — everything after the raising index *)
-    Fun.protect
-      ~finally:(fun () -> Array.iter discard specs)
-      (fun () ->
-        let k = ref 0 in
-        while !result = None && !k < m do
-          let idx = !lo + !k in
-          if screen idx xs.(idx) then begin
-            match commit specs.(!k) with
-            | None -> ()
-            | Some v -> (
-              match commitf idx xs.(idx) v with
-              | Some r -> result := Some r
-              | None -> ())
-          end
-          else discard specs.(!k);
-          incr k
-        done);
-    lo := hi
-  done;
-  !result

@@ -1,22 +1,21 @@
 (** A fixed-size domain pool with {b deterministic} fan-out.
 
-    The contract that everything downstream (optimizer, simulator,
-    fuzzer, bench) relies on: for the same inputs, a run at any
-    [jobs] produces byte-identical observable state — return values,
-    metric counters and sums, trace events, and therefore report JSON
-    and emitted BLIF — as [jobs = 1].  The pool delivers this with a
-    speculate/commit protocol:
+    The contract that everything downstream (simulator, candidate
+    generation, pareto sweeps, fuzzer, bench, batch service) relies on:
+    for the same inputs, a run at any [jobs] produces byte-identical
+    observable state — return values, metric counters and sums, trace
+    events, and therefore report JSON and emitted BLIF — as
+    [jobs = 1].  The pool delivers this with a speculate/commit
+    protocol:
 
     - {!speculate} runs an array of closures in parallel (a barrier);
-      each body executes in a worker domain under a private
+      each body executes on one of the executors under a private
       [Obs.Collector], so no global observability state is touched
       concurrently.
-    - The caller then walks the outcomes {e in index order} and either
-      {!commit}s one (merge collector, take the value or re-raise the
-      task's exception) or {!discard}s it (speculation invalidated —
-      e.g. a lower-ranked candidate was accepted first, or the item
-      was screened out).  Work the sequential algorithm would never
-      have performed leaves no observable trace.
+    - The outcomes are then consumed on the main domain {e in index
+      order} — by {!commit_result} or by the combinators below — which
+      merges each task's collector into the global state, exactly as
+      if the tasks had run one after another.
 
     [jobs = 1] spawns no domains and runs everything inline; it is the
     reference semantics. *)
@@ -24,10 +23,12 @@
 type t
 
 val create : ?jobs:int -> unit -> t
-(** Spawn a pool of [jobs] executors: [jobs - 1] worker domains plus
-    the submitting domain, which helps drain the queue during a
-    barrier.  [jobs] defaults to {!default_jobs} and is clamped to at
-    least 1. *)
+(** A pool of [jobs] executors: each barrier spawns up to [jobs - 1]
+    helper domains, works alongside them on the submitting domain and
+    joins them before it returns, so no domain outlives a barrier (an
+    idle domain would still slow every minor collection of the
+    submitting one).  [jobs] defaults to {!default_jobs} and is
+    clamped to at least 1. *)
 
 val jobs : t -> int
 
@@ -35,8 +36,8 @@ val default_jobs : unit -> int
 (** [min 8 (Domain.recommended_domain_count ())]. *)
 
 val shutdown : t -> unit
-(** Stop and join all worker domains.  Idempotent.  Submitting to a
-    shut-down pool raises [Invalid_argument]. *)
+(** Close the pool.  Idempotent.  Submitting to a shut-down pool
+    raises [Invalid_argument]. *)
 
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create] / run / [shutdown], exception safe. *)
@@ -60,30 +61,17 @@ val speculate :
     in the body).  @raise Invalid_argument from inside a pool task
     (nested submission) or after {!shutdown}. *)
 
-val commit : 'b speculation -> 'b option
-(** Consume one outcome on the main domain: merge its collector into
-    the global metrics/trace state, then return [Some value], re-raise
-    the task's exception (original backtrace preserved), or return
-    [None] if it was cancelled.  Call in index order for determinism.
-    Each speculation is consumed exactly once: a second
-    commit/commit_result raises [Invalid_argument], and {!discard}
-    after a commit is a no-op. *)
-
 val commit_result :
   'b speculation -> ('b, exn * Printexc.raw_backtrace) result option
-(** Like {!commit}, but a task that raised surfaces as [Some (Error
-    (exn, backtrace))] instead of re-raising — the containment
-    primitive for supervisors that must keep running when one task
-    fails.  The raising task's collector is still merged (sequential
-    parity: the work up to the raise happened and is observable).
-    [None] marks a cancelled task. *)
-
-val discard : _ speculation -> unit
-(** Drop an outcome without merging its collector.  No-op on a
-    speculation that was already committed or discarded, so cleanup
-    paths may blanket-discard a whole batch. *)
-
-val cancelled : _ speculation -> bool
+(** Consume one outcome on the main domain: merge its collector into
+    the global metrics/trace state, then return [Some (Ok value)], or
+    [Some (Error (exn, backtrace))] if the task raised — the
+    containment primitive for supervisors that must keep running when
+    one task fails.  The raising task's collector is still merged
+    (sequential parity: the work up to the raise happened and is
+    observable).  [None] marks a cancelled task.  Call in index order
+    for determinism; a second call on the same speculation raises
+    [Invalid_argument]. *)
 
 (** {2 Deterministic combinators} *)
 
@@ -116,21 +104,3 @@ val map_reduce :
 (** Parallel map, sequential left-to-right reduce on the caller —
     the fold order (and any floating-point accumulation) equals the
     sequential one.  Cancelled elements are skipped. *)
-
-val find_first_accept :
-  t ->
-  ?chunk:int ->
-  ?deadline:Obs.Deadline.t ->
-  check:(int -> 'a -> 'b) ->
-  screen:(int -> 'a -> bool) ->
-  commit:(int -> 'a -> 'b -> 'c option) ->
-  'a array ->
-  'c option
-(** The optimizer's accept pattern, generalized: speculatively [check]
-    items in chunks of [chunk] (default [jobs t]), then walk each
-    chunk in index order — items failing [screen] are skipped (their
-    check result discarded), otherwise [commit] consumes the check's
-    result and may accept.  The first accept wins; remaining
-    speculation in the chunk is rolled back and no later item is
-    checked.  Equivalent to the sequential
-    [screen → check → commit] loop over the array. *)

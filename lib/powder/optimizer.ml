@@ -624,9 +624,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
               ("cand", Trace.String (Subst.describe circ s));
             ])
       in
-      (* The budget/ladder guards checked before every candidate, in
-         this exact order, by both the sequential and the speculative
-         walk. *)
+      (* The budget/ladder guards, checked before every candidate. *)
       let walk_status () =
         if Deadline.expired run_deadline then begin
           Guard.count_error Guard.Budget_exhausted;
@@ -664,16 +662,18 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           false
         end
       in
-      (* The exact proof itself: reads the (frozen) circuit only, so it
-         is safe to run speculatively in a worker domain.  With --window
-         the windowed check runs first; a window proof is globally sound
-         and skips the global miter, anything inconclusive escalates to
-         it.  Counter updates are deferred to [consume_verdict] (main
-         domain), so the returned value carries the window outcome. *)
-      let run_check ~backtrack_limit ~deadline s =
+      (* The exact proof itself.  With --window the windowed check runs
+         first; a window proof is globally sound and skips the global
+         miter, anything inconclusive escalates to it.  Escalations are
+         classified under window/* in the give-up breakdown but are NOT
+         give-up rejections — the candidate is re-checked globally and
+         its global verdict is what counts. *)
+      let run_check s =
+        let deadline = check_deadline () in
         let global () =
           match
-            Check.permissible ~backtrack_limit
+            Check.permissible
+              ~backtrack_limit:(effective_backtrack_limit ())
               ~exhaustive_limit:config.exhaustive_limit
               ~engine:config.check_engine ~deadline circ s
           with
@@ -681,36 +681,29 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           | exception Invalid_argument _ ->
             Check.Gave_up { engine = "check"; limit = "invalid" }
         in
+        let escalated r =
+          incr window_checks;
+          incr window_escalated;
+          bump_giveup ("window/" ^ r);
+          global ()
+        in
         match config.window with
-        | None -> (global (), `Window_off)
+        | None -> global ()
         | Some k -> (
           match
             Check.windowed ~exhaustive_limit:config.exhaustive_limit
               ~deadline ~max_cut:k circ s
           with
-          | Check.W_proved -> (Check.Permissible, `Window_proved)
-          | Check.W_escalated r ->
-            (global (), `Window_escalated (Check.escalation_name r))
-          | exception Invalid_argument _ ->
-            (global (), `Window_escalated "invalid"))
+          | Check.W_proved ->
+            incr window_checks;
+            incr window_proved;
+            Check.Permissible
+          | Check.W_escalated r -> escalated (Check.escalation_name r)
+          | exception Invalid_argument _ -> escalated "invalid")
       in
-      (* Everything downstream of a verdict — apply, stats, cex
-         injection, ladder — runs on the main domain at consumption
-         time. *)
-      let consume_verdict rank s g (verdict, window_outcome) =
-        (* window funnel accounting, on the main domain in rank order;
-           escalations are classified under window/* in the give-up
-           breakdown but are NOT give-up rejections — the candidate was
-           re-checked globally and its global verdict is what counts *)
-        (match window_outcome with
-        | `Window_off -> ()
-        | `Window_proved ->
-          incr window_checks;
-          incr window_proved
-        | `Window_escalated r ->
-          incr window_checks;
-          incr window_escalated;
-          bump_giveup ("window/" ^ r));
+      (* Everything downstream of a verdict: apply, stats, cex
+         injection, ladder. *)
+      let consume_verdict rank s g verdict =
         (* test-only fault: report a refuted candidate as permissible
            so the transactional apply must catch it downstream *)
         let verdict =
@@ -813,151 +806,22 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
             `Continue
           end
       in
-      let attempt_seq refined =
-        let rec attempt = function
-          | [] -> `Tried ranked
-          | (rank, i, s, g) :: rest -> (
-            match walk_status () with
-            | (`Stop | `Round_over) as st -> st
-            | `Go -> (
-              if screened_out rank i s then attempt rest
-              else
-                let verdict =
-                  Trace.with_span "exact-check" (fun () ->
-                      run_check
-                        ~backtrack_limit:(effective_backtrack_limit ())
-                        ~deadline:(check_deadline ()) s)
-                in
-                match consume_verdict rank s g verdict with
-                | `Accepted -> `Accepted
-                | `Continue -> attempt rest))
-        in
-        attempt refined
-      in
-      (* Speculative parallel walk.  A side-effect-free copy of the
-         cheap screens selects, in rank order, the next [jobs]
-         candidates the sequential walk would actually exact-check —
-         without it the pool would burn a full check on every candidate
-         the counterexample screens kill for free, hundreds per accept
-         on the larger circuits.  Those are checked in parallel against
-         the frozen circuit, each under a private collector; the commit
-         walk then replays the exact sequential protocol over {e every}
-         candidate in the scanned window — budget guards, [used]
-         marking, the authoritative counting screens, counterexample
-         injection, accept short-circuit — consuming each speculation
-         (merging its collector, taking its verdict) only where the
-         sequential run would have checked it.  A refutation mid-chunk
-         tightens the cex screen, so a later speculated candidate may
-         now be screened: its speculation is discarded unmerged, like
-         everything behind an accept — the parallel run leaves exactly
-         the observable state of the sequential one.  The barrier-level
-         "exact-check" span is recorded on the main domain, so
-         [phase_seconds] measures the phase's wall clock — that is
-         where the [--jobs] speedup shows up. *)
-      let attempt_par p refined =
-        let items = Array.of_list refined in
-        let n = Array.length items in
-        let chunk = Par.Pool.jobs p in
-        (* pre-warm the lazy topo cache: speculative checkers clone the
-           circuit and must not race on its memoized traversal *)
-        ignore (Circuit.topo_order circ);
-        let prescreen s =
-          (match constraint_ with
-          | None -> true
-          | Some _ -> Subst.delay_ok !sta s)
-          && not (Check.refuted_on_patterns !cex_eng s)
-        in
-        let result = ref None in
-        let pos = ref 0 in
-        while !result = None && !pos < n do
-          (* select the next [chunk] candidates passing the current
-             screens; the window [pos, scan) still gets walked in full
-             rank order below *)
-          let sel = ref [] and nsel = ref 0 and scan = ref !pos in
-          while !nsel < chunk && !scan < n do
-            let _, _, s, _ = items.(!scan) in
-            if prescreen s then begin
-              sel := !scan :: !sel;
-              incr nsel
-            end;
-            incr scan
-          done;
-          let sel = Array.of_list (List.rev !sel) in
-          (* ladder state and per-check deadlines are sampled at
-             submission, on the main domain, in rank order *)
-          let bl = effective_backtrack_limit () in
-          let tasks =
-            Array.map
-              (fun idx ->
-                let _, _, s, _ = items.(idx) in
-                let deadline = check_deadline () in
-                fun () -> run_check ~backtrack_limit:bl ~deadline s)
-              sel
-          in
-          let specs =
-            if Array.length tasks = 0 then [||]
+      let rec attempt = function
+        | [] -> `Tried ranked
+        | (rank, i, s, g) :: rest -> (
+          match walk_status () with
+          | (`Stop | `Round_over) as st -> st
+          | `Go -> (
+            if screened_out rank i s then attempt rest
             else
-              Trace.with_span "exact-check" (fun () ->
-                  Par.Pool.speculate p tasks)
-          in
-          let k = ref 0 in
-          let i = ref !pos in
-          while !result = None && !i < !scan do
-            let rank, ci, s, g = items.(!i) in
-            let speculated = !k < Array.length sel && sel.(!k) = !i in
-            (match walk_status () with
-            | (`Stop | `Round_over) as st -> result := Some st
-            | `Go ->
-              if screened_out rank ci s then begin
-                if speculated then begin
-                  Par.Pool.discard specs.(!k);
-                  incr k
-                end
-              end
-              else
-                let verdict =
-                  if speculated then begin
-                    let v =
-                      match Par.Pool.commit specs.(!k) with
-                      | Some v -> v
-                      | None ->
-                        (* unreachable — [speculate] gets no deadline —
-                           but degrade to an inline check, not assert *)
-                        run_check ~backtrack_limit:bl
-                          ~deadline:(check_deadline ()) s
-                    in
-                    incr k;
-                    v
-                  end
-                  else
-                    (* pre-screened out, yet the authoritative screen
-                       passed (screens only tighten, so this is dead
-                       code today): fall back to the sequential walk's
-                       inline check *)
-                    Trace.with_span "exact-check" (fun () ->
-                        run_check
-                          ~backtrack_limit:(effective_backtrack_limit ())
-                          ~deadline:(check_deadline ()) s)
-                in
-                (match consume_verdict rank s g verdict with
-                | `Accepted -> result := Some `Accepted
-                | `Continue -> ()));
-            incr i
-          done;
-          (* roll back whatever the walk did not consume — everything
-             behind an accept, a budget stop, or a tightened screen *)
-          while !k < Array.length sel do
-            Par.Pool.discard specs.(!k);
-            incr k
-          done;
-          pos := !scan
-        done;
-        match !result with Some st -> st | None -> `Tried ranked
+              let verdict =
+                Trace.with_span "exact-check" (fun () -> run_check s)
+              in
+              match consume_verdict rank s g verdict with
+              | `Accepted -> `Accepted
+              | `Continue -> attempt rest))
       in
-      (match dom_pool with
-      | Some p when List.compare_length_with refined 1 > 0 ->
-        attempt_par p refined
-      | _ -> attempt_seq refined)
+      attempt refined
   in
   while
     !continue_ && !rounds < config.max_rounds
@@ -1154,16 +1018,12 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
     cpu_seconds = Obs.Clock.now () -. t0;
   }
 
-(* The pool is created here (not in [optimize_with]) so its lifetime
-   brackets the whole run and it is joined even when the run raises.
-   Inside a pool task — the optimizer invoked by a parallel fuzz case —
+(* Inside a pool task — the optimizer invoked by a parallel fuzz case —
    nested submission is illegal, so the run is forced sequential. *)
 let optimize ?(config = default_config) ?resume circ =
   let jobs = if Par.Pool.in_task () then 1 else max 1 config.jobs in
   let pool = if jobs > 1 then Some (Par.Pool.create ~jobs ()) else None in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Par.Pool.shutdown pool)
-    (fun () -> optimize_with ~pool ~jobs ~config ?resume circ)
+  optimize_with ~pool ~jobs ~config ?resume circ
 
 let pp_report fmt r =
   Format.fprintf fmt

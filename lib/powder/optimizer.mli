@@ -70,11 +70,12 @@ type config = {
           rounds; 0 disables both *)
   checkpoint_file : string option;
   jobs : int;
-      (** parallel executors for the exact-check phase and signature
-          simulation (a {!Par.Pool} of [jobs - 1] worker domains plus
-          the main domain).  1 (the default) runs fully sequentially
-          and spawns nothing.  Any value produces byte-identical
-          reports, substitutions and final BLIF — see the determinism
+      (** parallel executors for random-pattern simulation and
+          candidate generation (a {!Par.Pool} of [jobs - 1] worker
+          domains plus the main domain); exact checks always run one
+          at a time.  1 (the default) runs fully sequentially and
+          spawns nothing.  Any value produces byte-identical reports,
+          substitutions, final BLIF and profiles — see the determinism
           contract in [Par.Pool]. *)
   sig_index : Candidates.index_mode;
       (** how candidate generation matches signatures: [Hash] scans the
@@ -219,17 +220,14 @@ val optimize : ?config:config -> ?resume:Checkpoint.t -> Netlist.Circuit.t -> re
     counterexamples are restored, and the run proceeds exactly as the
     uninterrupted checkpointing run would have.
 
-    Parallelism: with [jobs > 1] the ranked candidates of each pick are
-    proved permissible speculatively, [jobs] at a time, on a
-    [Par.Pool]; verdicts are consumed in rank order replicating the
-    sequential walk exactly, and speculation invalidated by an accept
-    is discarded together with its observability.  Signature
-    generation uses {!Sim.Engine.randomize_sharded}, whose patterns
-    are independent of the job count.  The resulting report (modulo
-    timing fields), accepted substitutions and final netlist are
-    byte-identical to a [jobs = 1] run; in parallel mode the
-    [exact-check] entry of [phase_seconds] measures the phase's wall
-    clock (one span per speculation barrier instead of one per check).
+    Parallelism: with [jobs > 1] the pool shards the random-pattern
+    simulation ({!Sim.Engine.randomize_sharded}, whose patterns are
+    independent of the job count) and the signature scan of candidate
+    generation ({!Candidates.generate_stats}).  The accept walk itself
+    is the same at every width: candidates are exact-checked one at a
+    time, best gain first, on the main domain.  The resulting report
+    (modulo timing fields), accepted substitutions, final netlist and
+    span counts are byte-identical to a [jobs = 1] run.
 
     Telemetry: the run is wrapped in {!Obs.Trace} spans (one per entry
     of {!phase_names}); when a trace sink is installed it emits a

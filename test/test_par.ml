@@ -57,24 +57,6 @@ let test_map_reduce_order () =
       (* the reduce is non-commutative: any out-of-order fold shows *)
       Alcotest.(check string) "left-to-right fold" "0123456789" s)
 
-let test_find_first_accept_order () =
-  Par.Pool.with_pool ~jobs:4 (fun pool ->
-      let committed = ref [] in
-      let result =
-        Par.Pool.find_first_accept pool
-          ~check:(fun i x -> i + x)
-          ~screen:(fun i _ -> i mod 2 = 1)
-          ~commit:(fun i _ v ->
-            committed := i :: !committed;
-            if i >= 5 then Some v else None)
-          (Array.init 12 (fun i -> i * 10))
-      in
-      Alcotest.(check (option int)) "first accept wins" (Some 55) result;
-      (* screened-in items consumed in index order, nothing after the
-         accept — exactly the sequential walk *)
-      Alcotest.(check (list int)) "commit order stops at accept" [ 1; 3; 5 ]
-        (List.rev !committed))
-
 (* ------------------------------------------------------------------ *)
 (* Exceptions.                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -314,8 +296,6 @@ let suite =
         Alcotest.test_case "jobs=1 runs inline" `Quick test_jobs1_inline;
         Alcotest.test_case "map_reduce folds left-to-right" `Quick
           test_map_reduce_order;
-        Alcotest.test_case "find_first_accept commit order" `Quick
-          test_find_first_accept_order;
         Alcotest.test_case "exception surfaces at first index" `Quick
           test_exception_propagates_first_index;
         Alcotest.test_case "exception discards later collectors" `Quick
