@@ -909,7 +909,17 @@ let pareto_bench () =
    ratio (the cost windowing removes) and the verdict agreement are
    tracked run over run.  Every run lands in BENCH_powder.json under
    scale/*, so ci.sh's bench_diff gate catches end-to-end throughput
-   regressions on large netlists, not just on the paper suite. *)
+   regressions on large netlists, not just on the paper suite.  Each
+   leg also records the process's peak major heap after it
+   ([Gc.top_heap_words], so the second leg's figure covers both), and
+   the section fails the run when a leg exceeds [scale_heap_limit_mb]:
+   generation memory must stay linear in netlist size. *)
+let scale_heap_limit_mb = 1024.0
+
+let top_heap_mb () =
+  float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+  /. 1048576.0
+
 let scale () =
   print_endline "=== Scale: synthetic netlists, windowed vs global checks ===";
   (* Deliberately NOT downsized under [quick]: the whole point of this
@@ -940,14 +950,16 @@ let scale () =
             (Circuit.clone circ)
         in
         record_run (Printf.sprintf "scale/%s/%s" name (label_of w)) r;
-        (w, r))
+        (w, (r, top_heap_mb ())))
       [ Some 16; None ]
   in
+  let heap_of w = snd (List.assoc w runs) in
+  let runs = List.map (fun (w, (r, _)) -> (w, r)) runs in
   let off_exact =
     List.assoc None runs |> exact_check
   in
-  Printf.printf "%10s %10s %9s %12s %8s %8s %10s\n" "window" "total(s)"
-    "gates/s" "exact-chk(s)" "proved" "escal." "chk-ratio";
+  Printf.printf "%10s %10s %9s %12s %8s %8s %10s %8s\n" "window" "total(s)"
+    "gates/s" "exact-chk(s)" "proved" "escal." "chk-ratio" "heap(MB)";
   let entries =
     List.map
       (fun (w, (r : Optimizer.report)) ->
@@ -955,9 +967,9 @@ let scale () =
         let gps = if total > 0.0 then float_of_int live /. total else 0.0 in
         let ec = exact_check r in
         let ratio = if ec > 0.0 then off_exact /. ec else Float.infinity in
-        Printf.printf "%10s %10.3f %9.0f %12.3f %8d %8d %9.1fx\n" (label_of w)
-          total gps ec r.Optimizer.window_proved r.Optimizer.window_escalated
-          ratio;
+        Printf.printf "%10s %10.3f %9.0f %12.3f %8d %8d %9.1fx %8.0f\n"
+          (label_of w) total gps ec r.Optimizer.window_proved
+          r.Optimizer.window_escalated ratio (heap_of w);
         ( label_of w,
           Obs.Json.Obj
             [
@@ -969,6 +981,7 @@ let scale () =
               ( "window_escalated",
                 Obs.Json.Int r.Optimizer.window_escalated );
               ("final_power", Obs.Json.Float r.Optimizer.final_power);
+              ("top_heap_mb", Obs.Json.Float (heap_of w));
             ] ))
       runs
   in
@@ -993,7 +1006,16 @@ let scale () =
        checking diverged from the global oracle\n"
       (final (Some 16)) (final None);
     exit 1
-  end
+  end;
+  List.iter
+    (fun (w, _) ->
+      if heap_of w > scale_heap_limit_mb then begin
+        Printf.eprintf
+          "scale: %s leg peaked at %.0f MB of major heap (limit %.0f MB)\n"
+          (label_of w) (heap_of w) scale_heap_limit_mb;
+        exit 1
+      end)
+    runs
 
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)

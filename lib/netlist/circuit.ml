@@ -308,23 +308,77 @@ let tfi t s =
   visit s;
   marked
 
-let reaches t a b =
-  if a = b then true
-  else begin
-    let seen = Array.make t.count false in
-    let rec visit id =
-      id = b
-      || List.exists
-           (fun p ->
-             (node t p.sink).live && not seen.(p.sink)
-             && begin
-                  seen.(p.sink) <- true;
-                  visit p.sink
-                end)
-           (node t id).fanouts
-    in
-    visit a
+(* ------------------------------------------------------------------ *)
+(* Scratch marks                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A node carries a value in the current borrow iff [stamp.(id) =
+   epoch]; bumping the epoch on every borrow empties the set in O(1),
+   so a traversal costs O(visited) and allocates nothing once the
+   arrays have grown to the circuit's size.  Each domain keeps its own
+   free list, so pool tasks never share an array, and a nested borrow
+   takes (or makes) a second one. *)
+type marks = {
+  mutable stamp : int array;
+  mutable value : int array;
+  mutable epoch : int;
+}
+
+let free_marks : marks list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let ensure_marks m n =
+  let len = Array.length m.stamp in
+  if n > len then begin
+    let len' = max n (2 * len) in
+    let stamp = Array.make len' 0 and value = Array.make len' 0 in
+    Array.blit m.stamp 0 stamp 0 len;
+    Array.blit m.value 0 value 0 len;
+    m.stamp <- stamp;
+    m.value <- value
   end
+
+let with_marks t f =
+  let free = Domain.DLS.get free_marks in
+  let m =
+    match !free with
+    | m :: rest ->
+      free := rest;
+      m
+    | [] -> { stamp = [||]; value = [||]; epoch = 0 }
+  in
+  ensure_marks m t.count;
+  m.epoch <- m.epoch + 1;
+  Fun.protect ~finally:(fun () -> free := m :: !free) (fun () -> f m)
+
+let get m id =
+  if id < Array.length m.stamp && m.stamp.(id) = m.epoch then m.value.(id)
+  else 0
+
+let set m id v =
+  ensure_marks m (id + 1);
+  m.stamp.(id) <- m.epoch;
+  m.value.(id) <- v
+
+let mem m id = get m id <> 0
+let mark m id = set m id 1
+let unmark m id = set m id 0
+
+let reaches t a b =
+  a = b
+  || with_marks t (fun seen ->
+         let rec visit id =
+           id = b
+           || List.exists
+                (fun p ->
+                  (node t p.sink).live && (not (mem seen p.sink))
+                  && begin
+                       mark seen p.sink;
+                       visit p.sink
+                     end)
+                (node t id).fanouts
+         in
+         visit a)
 
 let dominated_region t s =
   (* Process TFI(s) union {s} in reverse topological order; a node is
@@ -349,6 +403,32 @@ let dominated_region t s =
     end
   done;
   dom
+
+let dominated_region_marks t dom s =
+  (* Backward from [s]: a fanin joins Dom(s) once every one of its
+     fanout pins feeds a member (a PO sink never is one).  Each fanin
+     occurrence of a member stands for exactly one such pin, so [left]
+     holds the pins still outside, plus one (0 means unvisited). *)
+  with_marks t (fun left ->
+      let members = ref [ s ] in
+      mark dom s;
+      let rec join id =
+        Array.iter
+          (fun f ->
+            let v = get left f in
+            let v = if v = 0 then List.length (node t f).fanouts else v - 1 in
+            set left f v;
+            if v = 1 then begin
+              mark dom f;
+              members := f :: !members;
+              join f
+            end)
+          (fanins t id)
+      in
+      if not (is_po_node t s) then join s;
+      let m = Array.of_list !members in
+      Array.sort Int.compare m;
+      m)
 
 let inputs_of_region t region =
   let result = ref [] in

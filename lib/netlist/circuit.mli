@@ -78,11 +78,51 @@ val tfi : t -> node_id -> bool array
 
 val reaches : t -> node_id -> node_id -> bool
 (** [reaches c a b]: is there a directed path from [a] to [b]? (true if
-    [a = b]). *)
+    [a = b]).  Walks on borrowed {!marks}: O(visited), no allocation of
+    circuit size. *)
 
 val dominated_region : t -> node_id -> bool array
 (** [Dom(s)]: nodes all of whose paths to any PO pass through [s];
-    includes [s].  Per the paper's Section 2. *)
+    includes [s].  Per the paper's Section 2.  Allocates two masks of
+    circuit size; {!dominated_region_marks} is the scratch form. *)
+
+(** {1 Scratch marks}
+
+    Re-entrant node marks that cost no allocation of circuit size per
+    use.  Each domain keeps a free list of stamp arrays; a borrow takes
+    one, grows it to {!num_nodes}, and starts a fresh epoch, so the set
+    starts empty in O(1).  Nested borrows (a traversal inside a
+    traversal) take separate arrays, and pool tasks on other domains
+    never share one.  A mark set is only valid inside its
+    {!with_marks} callback. *)
+
+type marks
+
+val with_marks : t -> (marks -> 'a) -> 'a
+(** Borrow an empty mark set for the duration of the callback (returned
+    to the domain's free list even if it raises). *)
+
+val get : marks -> node_id -> int
+(** Value stored for a node in this borrow, [0] when unset. *)
+
+val set : marks -> node_id -> int -> unit
+(** Store a value; ids beyond the borrowed size (the circuit grew during
+    the borrow) grow the arrays. *)
+
+val mem : marks -> node_id -> bool
+(** [get m id <> 0]. *)
+
+val mark : marks -> node_id -> unit
+(** [set m id 1]. *)
+
+val unmark : marks -> node_id -> unit
+(** [set m id 0]. *)
+
+val dominated_region_marks : t -> marks -> node_id -> node_id array
+(** [dominated_region_marks c m s] marks [Dom(s)] in [m] (which must
+    hold no other marks) and returns its members in ascending id order.
+    Equal to {!dominated_region}, in O(|Dom(s)| + its fanin edges)
+    time. *)
 
 val inputs_of_region : t -> bool array -> node_id list
 (** Nodes outside the region with at least one fanout pin inside it. *)

@@ -51,50 +51,15 @@ type target_info = {
   target : Subst.target;
   a : Circuit.node_id;         (* substituted signal *)
   care : int64 array;          (* folded: base words @ cex words *)
-  forbidden : bool array;      (* source base signals that risk a cycle *)
-  forbidden_signals : int;     (* store signals inside [forbidden] *)
 }
-
-(* [Circuit.tfo] plus the number of store signals inside the mask:
-   counting during the walk keeps the eligible-signal count (needed
-   for the [sig/filtered] statistic) O(|TFO|) instead of a per-target
-   sweep over the whole store. *)
-let tfo_with_signal_count circ store s =
-  let marked = Array.make (Circuit.num_nodes circ) false in
-  let cnt = ref 0 in
-  let rec visit id =
-    List.iter
-      (fun p ->
-        let s' = p.Circuit.sink in
-        if Circuit.is_live circ s' && not marked.(s') then begin
-          marked.(s') <- true;
-          if Sigstore.position store s' >= 0 then incr cnt;
-          visit s'
-        end)
-      (Circuit.fanouts circ id)
-  in
-  visit s;
-  (marked, !cnt)
-
-let mark_self store marked cnt id =
-  if not marked.(id) then begin
-    marked.(id) <- true;
-    if Sigstore.position store id >= 0 then cnt + 1 else cnt
-  end
-  else cnt
 
 let stem_targets circ store =
   List.filter_map
     (fun id ->
       if Circuit.num_fanouts circ id = 0 then None
-      else begin
+      else
         let care = Sigstore.stem_care store id in
-        let forbidden, cnt = tfo_with_signal_count circ store id in
-        let cnt = mark_self store forbidden cnt id in
-        Some
-          { target = Subst.Stem id; a = id; care; forbidden;
-            forbidden_signals = cnt }
-      end)
+        Some { target = Subst.Stem id; a = id; care })
     (Circuit.live_gates circ)
 
 let is_signal_node circ id =
@@ -112,21 +77,36 @@ let branch_targets circ store =
           (fun p ->
             let sink = p.Circuit.sink and pin = p.Circuit.pin_index in
             let care = Sigstore.branch_care store ~sink ~pin in
-            let forbidden, forbidden_signals =
-              if Circuit.is_po_node circ sink then
-                (Array.make (Circuit.num_nodes circ) false, 0)
-              else begin
-                let f, cnt = tfo_with_signal_count circ store sink in
-                let cnt = mark_self store f cnt sink in
-                (f, cnt)
-              end
-            in
-            out :=
-              { target = Subst.Branch { sink; pin }; a = id; care; forbidden;
-                forbidden_signals }
-              :: !out)
+            let target = Subst.Branch { sink; pin } in
+            out := { target; a = id; care } :: !out)
           (Circuit.fanouts circ id));
   List.rev !out
+
+(* Counting during the walk keeps the eligible-signal count (needed for
+   the [sig/filtered] statistic) O(|TFO|) instead of a sweep over the
+   whole store. *)
+let mark_forbidden circ store m target =
+  let cnt = ref 0 in
+  let add id =
+    Circuit.mark m id;
+    if Sigstore.position store id >= 0 then incr cnt
+  in
+  let rec visit id =
+    List.iter
+      (fun p ->
+        let s = p.Circuit.sink in
+        if Circuit.is_live circ s && not (Circuit.mem m s) then begin
+          add s;
+          visit s
+        end)
+      (Circuit.fanouts circ id)
+  in
+  (match target with
+  | Subst.Branch { sink; _ } when Circuit.is_po_node circ sink -> ()
+  | Subst.Stem root | Subst.Branch { sink = root; _ } ->
+    add root;
+    visit root);
+  !cnt
 
 (* Total candidate order: gain descending, then purely structural keys.
    Both index modes and every chunking of the parallel fan-out emit the
@@ -208,7 +188,10 @@ let minpool_insert mp d p =
     if mp.n < mp.limit then mp.n <- mp.n + 1
   end
 
-let scan_target ~config ~store ~est ~gates2 ti =
+(* [forbidden] holds the marks of {!mark_forbidden}; [dom_marks] is an
+   empty scratch set for a stem target's Dom(a), [None] for a branch. *)
+let scan_marked ~config ~store ~est ~gates2 ~forbidden ~forbidden_signals
+    ~dom_marks ti =
   let want k = List.mem k config.classes in
   let signals = Sigstore.signals store in
   let nsig = Array.length signals in
@@ -294,22 +277,17 @@ let scan_target ~config ~store ~est ~gates2 ti =
     done;
     !d
   in
+  let circ = Estimator.circuit est in
   let eligible p =
-    p <> p_a && not ti.forbidden.(Array.unsafe_get signals p)
+    p <> p_a && not (Circuit.mem forbidden (Array.unsafe_get signals p))
   in
   (* Every substitution against the same stem shares Dom(a); compute it
-     at most once per target; [gain_ab] mutates the mask in place and
-     restores it before returning. *)
+     at most once per target, into the borrowed scratch; [gain_ab]
+     unmarks in place and restores the marks before returning. *)
   let dom =
-    match ti.target with
-    | Subst.Stem _ ->
-      Some
-        (lazy
-          (let d = Circuit.dominated_region (Estimator.circuit est) ti.a in
-           let m = ref [] in
-           Array.iteri (fun i inside -> if inside then m := i :: !m) d;
-           (d, Array.of_list (List.rev !m))))
-    | Subst.Branch _ -> None
+    Option.map
+      (fun d -> lazy (d, Circuit.dominated_region_marks circ d ti.a))
+      dom_marks
   in
   let margin = 1e-12 in
   (* Upper bound on any candidate's gain against this target, used to
@@ -332,7 +310,6 @@ let scan_target ~config ~store ~est ~gates2 ti =
      density is not a cached lookup), and the fast path is off when
      [require_positive] is, since only the final filter makes the
      skip sound. *)
-  let circ = Estimator.circuit est in
   let pos_bound =
     lazy
       (let dummy = { Subst.target = ti.target; source = Subst.Signal ti.a } in
@@ -398,7 +375,7 @@ let scan_target ~config ~store ~est ~gates2 ti =
      the forbidden set, minus [a] itself when it is not already there
      (stems mark themselves forbidden; branch drivers never are). *)
   let n_eligible =
-    nsig - ti.forbidden_signals - (if ti.forbidden.(ti.a) then 0 else 1)
+    nsig - forbidden_signals - (if Circuit.mem forbidden ti.a then 0 else 1)
   in
   let ti_is3 = ref 0 in
   let hits2 = ref 0 in
@@ -661,6 +638,20 @@ let scan_target ~config ~store ~est ~gates2 ti =
   ( best,
     { pairs_hit = !hits2; pairs_filtered = filtered; is3_candidates = !ti_is3 } )
 
+(* Scans one target on borrowed scratch marks: its forbidden set, and
+   for a stem a second set for Dom(a). *)
+let scan_target ~config ~store ~est ~gates2 ti =
+  let circ = Estimator.circuit est in
+  Circuit.with_marks circ (fun forbidden ->
+      let forbidden_signals = mark_forbidden circ store forbidden ti.target in
+      let scan dom_marks =
+        scan_marked ~config ~store ~est ~gates2 ~forbidden ~forbidden_signals
+          ~dom_marks ti
+      in
+      match ti.target with
+      | Subst.Stem _ -> Circuit.with_marks circ (fun d -> scan (Some d))
+      | Subst.Branch _ -> scan None)
+
 let generate_stats ?(config = default_config) ?pool ?store est =
   let circ = Estimator.circuit est in
   let eng = Estimator.engine est in
@@ -699,9 +690,6 @@ let generate_stats ?(config = default_config) ?pool ?store est =
       when Par.Pool.jobs p > 1
            && Array.length targets > 1
            && not (Par.Pool.in_task ()) ->
-      (* pre-warm the lazily memoized traversal order: worker tasks
-         read the circuit concurrently and must not race on the cache *)
-      ignore (Circuit.topo_order circ);
       let jobs = Par.Pool.jobs p in
       let chunk = max 1 (Array.length targets / (4 * jobs)) in
       let nchunks = (Array.length targets + chunk - 1) / chunk in

@@ -53,6 +53,15 @@ type stats = {
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
 
+val mark_forbidden :
+  Netlist.Circuit.t -> Sim.Sigstore.t -> Netlist.Circuit.marks ->
+  Subst.target -> int
+(** [mark_forbidden c store m target] marks in [m] the sources that
+    would close a cycle against [target] — the stem, or the branch's
+    sink unless it is a PO, together with its transitive fanout — and
+    returns how many store signals it marked.  {!generate} calls it per
+    target on borrowed scratch marks. *)
+
 val generate :
   ?config:config ->
   ?pool:Par.Pool.t ->
@@ -70,7 +79,13 @@ val generate :
     When given, it is {!Sim.Sigstore.sync}ed first and must be built
     over the estimator's engine.  [pool] shards the per-target scans
     across domains; target enumeration (which mutates engine state for
-    observability) always stays sequential. *)
+    observability) always stays sequential.
+
+    Memory is O(nodes + targets × words) per call: each target keeps
+    only its care row, and the per-target forbidden set and stem
+    dominated region live in {!Netlist.Circuit.with_marks} scratch
+    borrowed for that target's scan (a few node-sized arrays per
+    domain, reused across targets and calls). *)
 
 val generate_stats :
   ?config:config ->

@@ -530,46 +530,60 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
   in
   let try_pick pool used ranked_cache =
     let compute_ranked () =
-      (* rank the still-valid unused candidates by fresh PG_A+PG_B;
-         pool entries against the same stem share one dominated-region
-         mask (the pool holds up to [per_target] candidates per
-         target, so recomputing it per entry multiplies the O(circuit)
-         traversal cost for nothing) *)
-      let doms = Hashtbl.create 64 in
-      let dom_for s =
-        match s.Subst.target with
-        | Subst.Branch _ -> None
-        | Subst.Stem a ->
-          Some
-            (match Hashtbl.find_opt doms a with
-            | Some d -> d
-            | None ->
-              let d = Circuit.dominated_region circ a in
-              let m = ref [] in
-              Array.iteri (fun i inside -> if inside then m := i :: !m) d;
-              let v = (d, Array.of_list (List.rev !m)) in
-              Hashtbl.add doms a v;
-              v)
+      (* rank the still-valid unused candidates by fresh PG_A+PG_B.
+         Pool entries against the same stem share one Dom(a) (the pool
+         holds up to [per_target] candidates per target, so recomputing
+         it per entry multiplies the traversal cost for nothing): the
+         pool is scored grouped by stem, one scratch Dom mask live at a
+         time, and the list is then built in pool order, so gain ties
+         sort exactly as in a single pass over the pool. *)
+      let gains = Array.make (Array.length pool) None in
+      let score ?dom i s =
+        let g =
+          Subst.gain_ab ?dom ~credit_downstream:config.is3_credit !est s
+        in
+        if scored s g > 0.0 then gains.(i) <- Some g else used.(i) <- true
+      in
+      let usable i s =
+        let ok =
+          (not used.(i)) && still_valid circ s
+          && not (Subst.creates_cycle circ s)
+        in
+        if not ok then used.(i) <- true;
+        ok
       in
       Trace.with_span "rank" (fun () ->
+          let by_stem = ref [] in
+          Array.iteri
+            (fun i (s, _) ->
+              if usable i s then
+                match s.Subst.target with
+                | Subst.Stem a -> by_stem := (a, i) :: !by_stem
+                | Subst.Branch _ -> score i s)
+            pool;
+          let rec groups = function
+            | [] -> ()
+            | (a, _) :: _ as l ->
+              let rest =
+                Circuit.with_marks circ (fun d ->
+                    let dom = (d, Circuit.dominated_region_marks circ d a) in
+                    let rec run = function
+                      | (a', i) :: rest when a' = a ->
+                        score ~dom i (fst pool.(i));
+                        run rest
+                      | rest -> rest
+                    in
+                    run l)
+              in
+              groups rest
+          in
+          groups (List.sort compare !by_stem);
           let ranked = ref [] in
           Array.iteri
             (fun i (s, _) ->
-              if (not used.(i)) && still_valid circ s
-                 && not (Subst.creates_cycle circ s)
-              then begin
-                let g =
-                  match dom_for s with
-                  | Some d ->
-                    Subst.gain_ab ~dom:d ~credit_downstream:config.is3_credit
-                      !est s
-                  | None ->
-                    Subst.gain_ab ~credit_downstream:config.is3_credit !est s
-                in
-                if scored s g > 0.0 then ranked := (i, s, g) :: !ranked
-                else used.(i) <- true
-              end
-              else used.(i) <- true)
+              match gains.(i) with
+              | Some g -> ranked := (i, s, g) :: !ranked
+              | None -> ())
             pool;
           List.sort
             (fun (_, s1, g1) (_, s2, g2) ->

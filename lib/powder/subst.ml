@@ -173,59 +173,59 @@ let gain_ab ?dom ?(credit_downstream = false) est s =
     match s.target with
     | Stem a ->
       (* The removed region is Dom(a) minus whatever still feeds the
-         substituting signal(s): those cones survive the sweep.  A
-         shared [dom] mask is mutated in place and restored afterwards
-         — [keep_cone] clears at most |TFI(root) ∩ Dom(a)| entries, so
+         substituting signal(s): those cones survive the sweep.  The
+         [dom] marks are cleared in place and restored afterwards —
+         [keep_cone] clears at most |TFI(root) ∩ Dom(a)| entries, so
          the undo list keeps the per-candidate cost proportional to
-         the region instead of the whole circuit (copying the mask per
+         the region instead of the whole circuit (copying a mask per
          candidate made generation quadratic on large netlists). *)
-      let dom, members, shared =
+      let with_dom f =
         match dom with
-        | Some (d, m) -> (d, m, true)
+        | Some (d, m) -> f d m
         | None ->
-          let d = Circuit.dominated_region circ a in
-          let m = ref [] in
-          Array.iteri (fun i inside -> if inside then m := i :: !m) d;
-          (d, Array.of_list (List.rev !m), false)
+          Circuit.with_marks circ (fun d ->
+              f d (Circuit.dominated_region_marks circ d a))
       in
-      let cleared = ref [] in
-      (* Strip TFI(root) ∩ Dom(a) by a backward walk restricted to the
-         region: any region node with a path to [root] has all the
-         path's intermediate nodes in the region too (an intermediate
-         escaping to a PO without passing [a] would give the ancestor
-         the same escape), so the restricted walk reaches exactly
-         TFI(root) ∩ Dom(a).  Overlapping cones compose: a node cleared
-         by an earlier cone was reached through fanins that were also
-         cleared, so nothing a later walk is blocked from was kept. *)
-      let keep_cone root =
-        if dom.(root) then begin
-          dom.(root) <- false;
-          cleared := root :: !cleared;
-          let rec strip id =
-            Array.iter
-              (fun f ->
-                if dom.(f) then begin
-                  dom.(f) <- false;
-                  cleared := f :: !cleared;
-                  strip f
-                end)
-              (Circuit.fanins circ id)
+      with_dom (fun dom members ->
+          let cleared = ref [] in
+          (* Strip TFI(root) ∩ Dom(a) by a backward walk restricted to
+             the region: any region node with a path to [root] has all
+             the path's intermediate nodes in the region too (an
+             intermediate escaping to a PO without passing [a] would
+             give the ancestor the same escape), so the restricted walk
+             reaches exactly TFI(root) ∩ Dom(a).  Overlapping cones
+             compose: a node cleared by an earlier cone was reached
+             through fanins that were also cleared, so nothing a later
+             walk is blocked from was kept. *)
+          let keep_cone root =
+            if Circuit.mem dom root then begin
+              Circuit.unmark dom root;
+              cleared := root :: !cleared;
+              let rec strip id =
+                Array.iter
+                  (fun f ->
+                    if Circuit.mem dom f then begin
+                      Circuit.unmark dom f;
+                      cleared := f :: !cleared;
+                      strip f
+                    end)
+                  (Circuit.fanins circ id)
+              in
+              strip root
+            end
           in
-          strip root
-        end
-      in
-      (match plan_of circ s with
-      | P_existing v -> keep_cone v
-      | P_new_inv b -> keep_cone b
-      | P_new_gate (_, b, d) ->
-        keep_cone b;
-        keep_cone d);
-      let pg =
-        Estimator.region_power_members est dom members
-        +. Estimator.region_input_relief_members est dom members
-      in
-      if shared then List.iter (fun id -> dom.(id) <- true) !cleared;
-      pg
+          (match plan_of circ s with
+          | P_existing v -> keep_cone v
+          | P_new_inv b -> keep_cone b
+          | P_new_gate (_, b, d) ->
+            keep_cone b;
+            keep_cone d);
+          let pg =
+            Estimator.region_power_members est dom members
+            +. Estimator.region_input_relief_members est dom members
+          in
+          List.iter (Circuit.mark dom) !cleared;
+          pg)
     | Branch _ ->
       moved *. Estimator.transition_prob est (substituted_signal circ s)
   in

@@ -64,18 +64,21 @@ type gain = {
 val total_gain : gain -> float
 
 val gain_ab :
-  ?dom:bool array * int array ->
+  ?dom:Netlist.Circuit.marks * int array ->
   ?credit_downstream:bool ->
   Power.Estimator.t ->
   t ->
   gain
 (** The cheap part: [pg_a] and [pg_b] only ([pg_c = 0]); no
     re-estimation (the paper's pre-selection metric).  [?dom], when
-    given for a stem target, must be [Circuit.dominated_region] of the
-    target stem together with its member ids in ascending order —
-    callers scoring many substitutions against the same stem compute
-    both once and pass them here; the function copies the mask before
-    carving out the surviving source cones.
+    given for a stem target, must be Dom of the target stem as marked
+    by {!Netlist.Circuit.dominated_region_marks}, together with the
+    member ids it returned — callers scoring many substitutions against
+    the same stem compute both once and pass them here.  Callers may
+    pass a borrowed scratch mark set: the function unmarks the
+    surviving source cones in place, keeps an undo list, and re-marks
+    them before returning, so the marks are unchanged afterwards.
+    Without [?dom] it borrows its own scratch marks.
 
     [?credit_downstream] (default false, the experimental
     [--is3-credit] knob): for IS3 candidates (branch target, [Gate2]

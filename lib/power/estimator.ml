@@ -162,14 +162,16 @@ let region_input_relief t region =
     (Circuit.inputs_of_region circ region);
   !acc
 
-(* Member-list variants: [members] must cover every node of [region]
-   (a superset is fine — extra ids are filtered by the mask) in
-   ascending id order, so the float accumulation order is identical to
-   the full-circuit scans above. *)
+(* Member-list variants over a scratch mark set: [members] must cover
+   every marked node (a superset is fine — extra ids are filtered by
+   the marks) in ascending id order, so the float accumulation order
+   is identical to the full-circuit scans above. *)
 
 let region_power_members t region members =
   let acc = ref 0.0 in
-  Array.iter (fun id -> if region.(id) then acc := !acc +. node_power t id) members;
+  Array.iter
+    (fun id -> if Circuit.mem region id then acc := !acc +. node_power t id)
+    members;
   !acc
 
 let region_input_relief_members t region members =
@@ -177,9 +179,9 @@ let region_input_relief_members t region members =
   let inputs = ref [] in
   Array.iter
     (fun m ->
-      if region.(m) then
+      if Circuit.mem region m then
         Array.iter
-          (fun f -> if not region.(f) then inputs := f :: !inputs)
+          (fun f -> if not (Circuit.mem region f) then inputs := f :: !inputs)
           (Circuit.fanins circ m))
     members;
   let inputs = List.sort_uniq compare !inputs in
@@ -189,7 +191,8 @@ let region_input_relief_members t region members =
       let inside_cap =
         List.fold_left
           (fun c pin ->
-            if region.(pin.Circuit.sink) then c +. Circuit.pin_cap circ pin
+            if Circuit.mem region pin.Circuit.sink then
+              c +. Circuit.pin_cap circ pin
             else c)
           0.0 (Circuit.fanouts circ id)
       in

@@ -60,13 +60,15 @@ val region_input_relief : t -> bool array -> float
     [C'(i)] is the part of [i]'s load presented by pins inside the
     region. *)
 
-val region_power_members : t -> bool array -> int array -> float
-(** {!region_power} over an explicit member list instead of a
-    full-circuit sweep.  [members] must include every node of the mask,
-    in ascending id order; the result (including float rounding) is
-    identical to {!region_power}. *)
+val region_power_members : t -> Netlist.Circuit.marks -> int array -> float
+(** {!region_power} of the region marked in a scratch mark set, over an
+    explicit member list instead of a full-circuit sweep.  [members]
+    must include every marked node, in ascending id order; the result
+    (including float rounding) is identical to {!region_power} on the
+    equivalent mask. *)
 
-val region_input_relief_members : t -> bool array -> int array -> float
+val region_input_relief_members :
+  t -> Netlist.Circuit.marks -> int array -> float
 (** {!region_input_relief} driven from the region's member list: the
     region's inputs are recovered from the members' fanins instead of a
     full-circuit sweep.  Same result, including float rounding. *)

@@ -129,6 +129,145 @@ let prop_random_circuits_valid =
       let c = Build.random_circuit ~seed ~n_pis:6 ~n_gates:25 in
       match Circuit.validate c with Ok () -> true | Error _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Scratch marks vs the allocating references                          *)
+(* ------------------------------------------------------------------ *)
+
+let fuzz_circuit seed =
+  Fuzz.Gen.generate (Fuzz.Gen.spec_of_seed (Int64.of_int seed))
+
+(* Dom(s) on scratch marks as (membership mask, member list). *)
+let dom_by_marks c s =
+  Circuit.with_marks c (fun m ->
+      let members = Circuit.dominated_region_marks c m s in
+      (Array.init (Circuit.num_nodes c) (Circuit.mem m), Array.to_list members))
+
+let dom_reference c s =
+  let d = Circuit.dominated_region c s in
+  let members = ref [] in
+  Array.iteri (fun i inside -> if inside then members := i :: !members) d;
+  (d, List.rev !members)
+
+let reaches_reference c a b = a = b || (Circuit.tfo c a).(b)
+
+(* every live node as a Dom root and a bounded sample of (a, b) pairs *)
+let check_against_references c =
+  let n = Circuit.num_nodes c in
+  let live = ref [] in
+  Circuit.iter_live c (fun id -> live := id :: !live);
+  List.iter
+    (fun s ->
+      let mask, members = dom_by_marks c s in
+      let rmask, rmembers = dom_reference c s in
+      Alcotest.(check (array bool))
+        (Printf.sprintf "Dom(%d) mask" s)
+        rmask mask;
+      Alcotest.(check (list int))
+        (Printf.sprintf "Dom(%d) members" s)
+        rmembers members)
+    !live;
+  for a = 0 to n - 1 do
+    if Circuit.is_live c a then
+      for k = 0 to 7 do
+        let b = (a * 7 + k * 13) mod n in
+        Alcotest.(check bool)
+          (Printf.sprintf "reaches %d %d" a b)
+          (reaches_reference c a b) (Circuit.reaches c a b)
+      done
+  done
+
+let test_marks_match_references () =
+  for seed = 1 to 12 do
+    check_against_references (fuzz_circuit seed)
+  done
+
+let test_marks_nested () =
+  let c = fuzz_circuit 3 in
+  let gates = Array.of_list (Circuit.live_gates c) in
+  Circuit.with_marks c (fun outer ->
+      Array.iteri
+        (fun k g -> if k mod 2 = 0 then Circuit.set outer g (k + 2))
+        gates;
+      Circuit.with_marks c (fun inner ->
+          Array.iter
+            (fun g ->
+              Alcotest.(check int) "inner starts empty" 0 (Circuit.get inner g))
+            gates;
+          Circuit.mark inner gates.(0));
+      (* borrows nested two deep (Dom's counters, reaches' visited set)
+         inside this one leave its marks untouched *)
+      check_against_references c;
+      Array.iteri
+        (fun k g ->
+          Alcotest.(check int) "outer kept"
+            (if k mod 2 = 0 then k + 2 else 0)
+            (Circuit.get outer g))
+        gates);
+  Circuit.with_marks c (fun again ->
+      Array.iter
+        (fun g ->
+          Alcotest.(check bool) "reborrow empty" false (Circuit.mem again g))
+        gates)
+
+(* Checks in a fresh domain, whose scratch arrays start empty: its
+   first borrow sizes them to exactly this circuit (built beforehand,
+   since building borrows marks too). *)
+let test_marks_growing_circuit () =
+  let c = fuzz_circuit 5 in
+  Domain.join @@ Domain.spawn @@ fun () ->
+  let x, y =
+    match Circuit.pis c with x :: y :: _ -> (x, y) | _ -> Alcotest.fail "pis"
+  in
+  let and2 = Library.find Build.lib "and2" in
+  (* growth during a borrow: the new node lies beyond the arrays *)
+  Circuit.with_marks c (fun m ->
+      Circuit.mark m x;
+      let g = Circuit.add_cell c and2 [| x; y |] in
+      Alcotest.(check bool) "new node unmarked" false (Circuit.mem m g);
+      Circuit.set m g 5;
+      Alcotest.(check int) "new node marked" 5 (Circuit.get m g);
+      Alcotest.(check bool) "old mark kept" true (Circuit.mem m x));
+  check_valid c;
+  check_against_references c;
+  (* growth between borrows: a stem replaced by a new gate over two PIs,
+     which cannot close a cycle *)
+  let a =
+    List.find (fun g -> Circuit.num_fanouts c g > 0) (Circuit.live_gates c)
+  in
+  let before = Circuit.num_nodes c in
+  let src =
+    Powder.Subst.apply c
+      { Powder.Subst.target = Powder.Subst.Stem a;
+        source = Powder.Subst.Gate2 (and2, x, y) }
+  in
+  Alcotest.(check bool) "grew" true (src >= before);
+  check_valid c;
+  check_against_references c
+
+let test_marks_in_pool () =
+  let c = fuzz_circuit 7 in
+  let gates = Array.of_list (Circuit.live_gates c) in
+  let n = Circuit.num_nodes c in
+  let work s =
+    let _, members = dom_by_marks c s in
+    (members, List.init n (fun b -> Circuit.reaches c s b))
+  in
+  let expected =
+    Array.map
+      (fun s -> (snd (dom_reference c s), List.init n (reaches_reference c s)))
+      gates
+  in
+  Par.Pool.with_pool ~jobs:2 (fun pool ->
+      let got = Par.Pool.map pool ~f:work gates in
+      Array.iteri
+        (fun k e ->
+          match got.(k) with
+          | Some (members, reach) ->
+            Alcotest.(check (list int)) "Dom in task" (fst e) members;
+            Alcotest.(check (list bool)) "reaches in task" (snd e) reach
+          | None -> Alcotest.fail "task cancelled")
+        expected)
+
 let suite =
   [
     ( "circuit",
@@ -145,6 +284,13 @@ let suite =
         Alcotest.test_case "clone independence" `Quick test_clone_independent;
         Alcotest.test_case "area" `Quick test_area;
         QCheck_alcotest.to_alcotest prop_random_circuits_valid;
+        Alcotest.test_case "marks: reaches and Dom = references" `Quick
+          test_marks_match_references;
+        Alcotest.test_case "marks: nested borrows" `Quick test_marks_nested;
+        Alcotest.test_case "marks: circuit grows" `Quick
+          test_marks_growing_circuit;
+        Alcotest.test_case "marks: pool tasks at jobs 2" `Quick
+          test_marks_in_pool;
       ] );
   ]
 
