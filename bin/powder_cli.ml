@@ -33,8 +33,13 @@ let seed =
          ~doc:"Random-pattern seed.")
 
 let jobs_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (`Msg "expected a positive executor count")
+  in
   Arg.(value
-       & opt int (Par.Pool.default_jobs ())
+       & opt (conv (parse, Format.pp_print_int)) (Par.Pool.default_jobs ())
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Parallel executors (1 disables the domain pool). \
                  optimize shards random-pattern simulation and candidate \
@@ -213,6 +218,11 @@ let emit out_file circ =
 (* Commands.                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let engine_to_string = function
+  | `Sat -> "sat"
+  | `Podem -> "podem"
+  | `Bdd -> "bdd"
+
 let engine_arg =
   let parse = function
     | "sat" -> Ok `Sat
@@ -220,15 +230,88 @@ let engine_arg =
     | "bdd" -> Ok `Bdd
     | _ -> Error (`Msg "expected sat, podem or bdd")
   in
-  let print fmt = function
-    | `Sat -> Format.pp_print_string fmt "sat"
-    | `Podem -> Format.pp_print_string fmt "podem"
-    | `Bdd -> Format.pp_print_string fmt "bdd"
-  in
+  let print fmt e = Format.pp_print_string fmt (engine_to_string e) in
   Arg.(value
        & opt (conv (parse, print)) `Sat
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Exact permissibility engine: sat (default), podem or bdd.")
+
+(* Run [work] and write its artifacts.  The --trace and --profile sinks
+   are teed around the run with the manifest as the stream's first
+   record; afterwards the profile files are written, the report is
+   printed, and the --json report is written with the manifest as its
+   leading "run" field.  Both output paths are opened before the
+   (possibly long) run so a bad path fails immediately instead of after
+   the work is done. *)
+let with_artifacts ~manifest ~trace_file ~json_file ~profile_dir ~pp ~to_json
+    work =
+  let fail_sys msg = prerr_endline ("powder_cli: " ^ msg); exit 1 in
+  (* the profile directory first: --json may point into it *)
+  let profile =
+    match profile_dir with
+    | None -> None
+    | Some dir -> (
+      try
+        (try Unix.mkdir dir 0o755
+         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+        let chrome_oc = open_out (Filename.concat dir "trace.chrome.json") in
+        Some (dir, Obs.Profile.create (), chrome_oc)
+      with Sys_error m | Unix.Unix_error (Unix.EACCES, _, m) -> fail_sys m)
+  in
+  let json_out =
+    match json_file with
+    | None -> None
+    | Some f -> (try Some (f, open_out f) with Sys_error m -> fail_sys m)
+  in
+  let sinks =
+    (match trace_file with
+    | Some f -> (
+      try [ Obs.Trace.jsonl_sink f ] with Sys_error m -> fail_sys m)
+    | None -> [])
+    @
+    match profile with
+    | Some (_, p, chrome_oc) ->
+      [ Obs.Profile.sink p; Obs.Profile.chrome_sink chrome_oc ]
+    | None -> []
+  in
+  (match sinks with
+  | [] -> ()
+  | [ s ] -> Obs.Trace.set_sink s
+  | ss -> Obs.Trace.set_sink (Obs.Trace.tee_sink ss));
+  (* the manifest header must be the stream's first record *)
+  if sinks <> [] then Obs.Runinfo.emit_run_start manifest;
+  let report = work () in
+  Obs.Trace.close_sink ();
+  (match profile with
+  | None -> ()
+  | Some (dir, p, _) ->
+    let write name s =
+      let f = Filename.concat dir name in
+      let oc = open_out f in
+      output_string oc s;
+      close_out oc;
+      Printf.printf "wrote %s\n" f
+    in
+    write "profile.json"
+      (Obs.Json.to_string
+         (Obs.Profile.to_json ~run:(Obs.Runinfo.to_json manifest) p)
+      ^ "\n");
+    write "profile.folded" (Obs.Profile.to_folded p);
+    Printf.printf "wrote %s\n" (Filename.concat dir "trace.chrome.json"));
+  Format.printf "%a@." pp report;
+  match json_out with
+  | None -> ()
+  | Some (f, oc) ->
+    let report_json =
+      match to_json report with
+      | Obs.Json.Obj fields ->
+        Obs.Json.Obj (("run", Obs.Runinfo.to_json manifest) :: fields)
+      | other -> other
+    in
+    output_string oc (Obs.Json.to_string report_json);
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "wrote %s\n" f
 
 let delay_to_string = function
   | Optimizer.Unconstrained -> "none"
@@ -308,9 +391,7 @@ let optimize_cmd =
             ("delay", delay_to_string delay);
             ( "classes",
               String.concat "," (List.map Powder.Subst.klass_name classes) );
-            ( "engine",
-              match engine with `Sat -> "sat" | `Podem -> "podem" | `Bdd -> "bdd"
-            );
+            ("engine", engine_to_string engine);
             ( "window",
               match window with None -> "off" | Some k -> string_of_int k );
             ("cost", Pareto.Cost.to_string cost);
@@ -323,75 +404,9 @@ let optimize_cmd =
           ]
         ()
     in
-    (* Open both output files before the (possibly long) run so a bad
-       path fails immediately instead of after the work is done. *)
-    let fail_sys msg = prerr_endline ("powder_cli: " ^ msg); exit 1 in
-    (* the profile directory first: --json may point into it *)
-    let profile =
-      match profile_dir with
-      | None -> None
-      | Some dir -> (
-        try
-          (try Unix.mkdir dir 0o755
-           with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          let chrome_oc = open_out (Filename.concat dir "trace.chrome.json") in
-          Some (dir, Obs.Profile.create (), chrome_oc)
-        with Sys_error m | Unix.Unix_error (Unix.EACCES, _, m) -> fail_sys m)
-    in
-    let json_out =
-      match json_file with
-      | None -> None
-      | Some f -> (try Some (f, open_out f) with Sys_error m -> fail_sys m)
-    in
-    let sinks =
-      (match trace_file with
-      | Some f -> (
-        try [ Obs.Trace.jsonl_sink f ] with Sys_error m -> fail_sys m)
-      | None -> [])
-      @
-      match profile with
-      | Some (_, p, chrome_oc) ->
-        [ Obs.Profile.sink p; Obs.Profile.chrome_sink chrome_oc ]
-      | None -> []
-    in
-    (match sinks with
-    | [] -> ()
-    | [ s ] -> Obs.Trace.set_sink s
-    | ss -> Obs.Trace.set_sink (Obs.Trace.tee_sink ss));
-    (* the manifest header must be the stream's first record *)
-    if sinks <> [] then Obs.Runinfo.emit_run_start manifest;
-    let report = Optimizer.optimize ~config ?resume:resume_ck circ in
-    Obs.Trace.close_sink ();
-    (match profile with
-    | None -> ()
-    | Some (dir, p, _) ->
-      let write name s =
-        let f = Filename.concat dir name in
-        let oc = open_out f in
-        output_string oc s;
-        close_out oc;
-        Printf.printf "wrote %s\n" f
-      in
-      write "profile.json"
-        (Obs.Json.to_string
-           (Obs.Profile.to_json ~run:(Obs.Runinfo.to_json manifest) p)
-        ^ "\n");
-      write "profile.folded" (Obs.Profile.to_folded p);
-      Printf.printf "wrote %s\n" (Filename.concat dir "trace.chrome.json"));
-    Format.printf "%a@." Optimizer.pp_report report;
-    (match json_out with
-    | Some (f, oc) ->
-      let report_json =
-        match Optimizer.report_to_json report with
-        | Obs.Json.Obj fields ->
-          Obs.Json.Obj (("run", Obs.Runinfo.to_json manifest) :: fields)
-        | other -> other
-      in
-      output_string oc (Obs.Json.to_string report_json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" f
-    | None -> ());
+    with_artifacts ~manifest ~trace_file ~json_file ~profile_dir
+      ~pp:Optimizer.pp_report ~to_json:Optimizer.report_to_json (fun () ->
+        Optimizer.optimize ~config ?resume:resume_ck circ);
     if metrics then Format.printf "=== metrics ===@.%a@." Obs.Metrics.dump ();
     if verify then begin
       match Atpg.Equiv.check ~exhaustive_limit:16 original circ with
@@ -723,28 +738,6 @@ let glitch_cmd =
        ~doc:"Timed power estimation: quantify hazards the zero-delay model skips.")
     Term.(const run $ in_file $ circuit_name $ pairs)
 
-let sweep_cmd =
-  let run circuit_names words =
-    let builders =
-      List.filter_map
-        (fun n ->
-          Option.map
-            (fun spec () -> Circuits.Suite.mapped spec)
-            (Circuits.Suite.find n))
-        circuit_names
-    in
-    if builders = [] then failwith "no valid circuits given";
-    let config = { Optimizer.default_config with words } in
-    let points = Powder.Tradeoff.sweep ~config builders in
-    Format.printf "%a@." Powder.Tradeoff.pp_series points
-  in
-  let names =
-    Arg.(value & pos_all string [ "rd84"; "alu2" ] & info [] ~docv:"CIRCUIT")
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Power-delay trade-off sweep (Figure 6 experiment).")
-    Term.(const run $ names $ words)
-
 (* ------------------------------------------------------------------ *)
 (* pareto: power/delay frontier exploration.                           *)
 (* ------------------------------------------------------------------ *)
@@ -791,9 +784,7 @@ let pareto_cmd =
                 (List.map Pareto.Sweep.spec_to_string constraints) );
             ( "classes",
               String.concat "," (List.map Powder.Subst.klass_name classes) );
-            ( "engine",
-              match engine with `Sat -> "sat" | `Podem -> "podem" | `Bdd -> "bdd"
-            );
+            ("engine", engine_to_string engine);
             ( "window",
               match window with None -> "off" | Some k -> string_of_int k );
             ("cost", Pareto.Cost.to_string cost);
@@ -803,74 +794,10 @@ let pareto_cmd =
           ]
         ()
     in
-    let fail_sys msg = prerr_endline ("powder_cli: " ^ msg); exit 1 in
-    let profile =
-      match profile_dir with
-      | None -> None
-      | Some dir -> (
-        try
-          (try Unix.mkdir dir 0o755
-           with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          let chrome_oc = open_out (Filename.concat dir "trace.chrome.json") in
-          Some (dir, Obs.Profile.create (), chrome_oc)
-        with Sys_error m | Unix.Unix_error (Unix.EACCES, _, m) -> fail_sys m)
-    in
-    let json_out =
-      match json_file with
-      | None -> None
-      | Some f -> (try Some (f, open_out f) with Sys_error m -> fail_sys m)
-    in
-    let sinks =
-      (match trace_file with
-      | Some f -> (
-        try [ Obs.Trace.jsonl_sink f ] with Sys_error m -> fail_sys m)
-      | None -> [])
-      @
-      match profile with
-      | Some (_, p, chrome_oc) ->
-        [ Obs.Profile.sink p; Obs.Profile.chrome_sink chrome_oc ]
-      | None -> []
-    in
-    (match sinks with
-    | [] -> ()
-    | [ s ] -> Obs.Trace.set_sink s
-    | ss -> Obs.Trace.set_sink (Obs.Trace.tee_sink ss));
-    if sinks <> [] then Obs.Runinfo.emit_run_start manifest;
-    let report =
-      Pareto.Sweep.run ~config ~specs:constraints ~jobs ?checkpoint_dir ~name
-        build
-    in
-    Obs.Trace.close_sink ();
-    (match profile with
-    | None -> ()
-    | Some (dir, p, _) ->
-      let write fname s =
-        let f = Filename.concat dir fname in
-        let oc = open_out f in
-        output_string oc s;
-        close_out oc;
-        Printf.printf "wrote %s\n" f
-      in
-      write "profile.json"
-        (Obs.Json.to_string
-           (Obs.Profile.to_json ~run:(Obs.Runinfo.to_json manifest) p)
-        ^ "\n");
-      write "profile.folded" (Obs.Profile.to_folded p);
-      Printf.printf "wrote %s\n" (Filename.concat dir "trace.chrome.json"));
-    Format.printf "%a@." Pareto.Sweep.pp report;
-    match json_out with
-    | Some (f, oc) ->
-      let report_json =
-        match Pareto.Sweep.to_json report with
-        | Obs.Json.Obj fields ->
-          Obs.Json.Obj (("run", Obs.Runinfo.to_json manifest) :: fields)
-        | other -> other
-      in
-      output_string oc (Obs.Json.to_string report_json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" f
-    | None -> ()
+    with_artifacts ~manifest ~trace_file ~json_file ~profile_dir
+      ~pp:Pareto.Sweep.pp ~to_json:Pareto.Sweep.to_json (fun () ->
+        Pareto.Sweep.run ~config ~specs:constraints ~jobs ?checkpoint_dir ~name
+          build)
   in
   let constraints =
     let parse s =
@@ -1198,5 +1125,5 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [ optimize_cmd; pareto_cmd; report_cmd; map_cmd; stats_cmd;
-            suite_cmd; atpg_cmd; sweep_cmd; redundancy_cmd; resize_cmd;
+            suite_cmd; atpg_cmd; redundancy_cmd; resize_cmd;
             glitch_cmd; fuzz_cmd; serve_cmd ]))

@@ -10,7 +10,8 @@
 #     serve   batch service drain + crash/kill chaos legs
 #     perf    bench self-consistency + committed-baseline perf gate
 #     pareto  frontier sweep: jobs determinism, frontier invariants,
-#             glitch cost model, bench gate vs the committed baseline
+#             glitch cost model, Figure 6 rows, bench gate vs the
+#             committed baseline
 #     scale   synthetic large-netlist bench: windowed-vs-global check
 #             agreement + throughput gate vs the committed baseline
 #     all     every stage above, in that order (the default)
@@ -323,6 +324,23 @@ stage_pareto() {
     --cost glitch --words 4 --max-rounds 4 --json "$pg" >/dev/null
   dune exec bin/json_check.exe -- --check-report "$pg"
   rm -f "$pg"
+
+  echo "== pareto: Figure 6 folded from per-circuit sweeps =="
+  # bench fig6 runs one Pareto.Sweep per circuit and folds each
+  # constraint's per-point reports over the circuits; quick mode must
+  # print one row per constraint (0%, 30%, 200%).
+  fig6_out=$(mktemp /tmp/powder_ci_fig6_XXXXXX.txt)
+  fig6_json=$(mktemp /tmp/powder_ci_fig6_XXXXXX.json)
+  hard_timeout 300 dune exec bench/main.exe -- quick fig6 \
+    --out "$fig6_json" > "$fig6_out"
+  for pct in 0 30 200; do
+    if ! grep -Eq "^ +$pct% \| " "$fig6_out"; then
+      echo "fig6: missing the $pct% constraint row" >&2
+      cat "$fig6_out" >&2
+      exit 1
+    fi
+  done
+  rm -f "$fig6_out" "$fig6_json"
 
   echo "== pareto: bench section vs committed baseline =="
   fresh=$(mktemp /tmp/powder_ci_pareto_bench_XXXXXX.json)

@@ -6,23 +6,24 @@
 
 let () =
   let names = [ "rd84"; "alu2"; "f51m"; "t481" ] in
-  let builders =
-    List.filter_map
-      (fun n ->
-        Option.map
-          (fun spec () -> Circuits.Suite.mapped spec)
-          (Circuits.Suite.find n))
-      names
-  in
-  Format.printf "Sweeping delay constraints on: %s@."
-    (String.concat ", " names);
   let config = { Powder.Optimizer.default_config with words = 16 } in
-  let points =
-    Powder.Tradeoff.sweep ~config ~percents:[ 0.0; 10.0; 30.0; 80.0; 200.0 ]
-      builders
+  let specs =
+    List.map
+      (fun p -> Pareto.Sweep.Scale (1.0 +. (p /. 100.0)))
+      [ 0.0; 10.0; 30.0; 80.0; 200.0 ]
   in
-  Format.printf "%a@." Powder.Tradeoff.pp_series points;
+  List.iter
+    (fun name ->
+      match Circuits.Suite.find name with
+      | None -> ()
+      | Some spec ->
+        let r =
+          Pareto.Sweep.run ~config ~specs ~name (fun () ->
+              Circuits.Suite.mapped spec)
+        in
+        Format.printf "%a@." Pareto.Sweep.pp r)
+    names;
   Format.printf
-    "@.Reading the curve: the 0%% point keeps every circuit at its@.\
+    "Reading the frontiers: the 1.00x point keeps each circuit at its@.\
      initial delay; looser constraints buy additional power savings@.\
      until the curve flattens (compare the paper's Figure 6).@."

@@ -103,11 +103,11 @@ let run ?(config = Optimizer.default_config) ?(specs = default_specs) ?(jobs = 1
     Obs.Metrics.incr m_points;
     (label, r, point_of spec r)
   in
+  let jobs = if Par.Pool.in_task () then 1 else max 1 jobs in
   let results =
     Obs.Trace.with_span "pareto.sweep" @@ fun () ->
     let arr = Array.of_list specs in
-    let jobs = max 1 jobs in
-    if jobs = 1 || Par.Pool.in_task () then Array.map run_point arr
+    if jobs = 1 then Array.map run_point arr
     else
       Par.Pool.with_pool ~jobs (fun pool ->
           Par.Pool.map pool ~f:run_point arr |> Array.map Option.get)

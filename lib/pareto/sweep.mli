@@ -40,6 +40,8 @@ type report = {
   reports : (string * Powder.Optimizer.report) list;
       (** label -> the point's full optimizer report *)
   jobs : int;
+      (** executors actually used: [max 1 jobs], and 1 when nested
+          inside a pool task *)
   cpu_seconds : float;
 }
 

@@ -17,8 +17,6 @@ type config = {
   words : int;
   seed : int64;
   input_prob : string -> float;
-  repeat : int;
-  preselect : int;
   delay : delay_mode;
   classes : Subst.klass list;
   per_target : int;
@@ -32,7 +30,6 @@ type config = {
   round_seconds : float option;
   run_seconds : float option;
   verify_applies : bool;
-  verify_words : int;
   checkpoint_every : int;
   checkpoint_file : string option;
   jobs : int;
@@ -42,13 +39,21 @@ type config = {
   is3_credit : bool;
 }
 
+(* Inner-loop batch size (Figure 5): substitutions accepted per
+   candidate-set generation. *)
+let repeat = 8
+
+(* Candidates re-estimated with PG_C per pick. *)
+let preselect = 12
+
+(* Pattern words of the guard's independent re-verification engine. *)
+let verify_words = 8
+
 let default_config =
   {
     words = 16;
     seed = 0xC0FFEEL;
     input_prob = (fun _ -> 0.5);
-    repeat = 8;
-    preselect = 12;
     delay = Unconstrained;
     classes = Subst.all_klasses;
     per_target = 4;
@@ -62,7 +67,6 @@ let default_config =
     round_seconds = None;
     run_seconds = None;
     verify_applies = true;
-    verify_words = 8;
     checkpoint_every = 0;
     checkpoint_file = None;
     jobs = 1;
@@ -369,7 +373,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
     ref
       (if config.verify_applies then
          Some
-           (Guard.make_verifier ~words:config.verify_words ~seed:verify_seed
+           (Guard.make_verifier ~words:verify_words ~seed:verify_seed
               ~input_probs:prob_of circ)
        else None)
   in
@@ -394,7 +398,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
     | Some _ ->
       guard :=
         Some
-          (Guard.make_verifier ~words:config.verify_words ~seed:verify_seed
+          (Guard.make_verifier ~words:verify_words ~seed:verify_seed
              ~input_probs:prob_of circ));
     sigstore := Sim.Sigstore.create ~cex:!cex_eng ~base:!eng ();
     factors := glitch_factors ();
@@ -598,7 +602,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
     match ranked with
     | [] -> `Exhausted
     | _ ->
-      let top = List.filteri (fun k _ -> k < config.preselect) ranked in
+      let top = List.filteri (fun k _ -> k < preselect) ranked in
       (* re-estimate PG_C for the pre-selected candidates (Section 3.5) *)
       let refined =
         Trace.with_span "refine-pgc" (fun () ->
@@ -882,7 +886,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         let ranked_cache = ref None in
         while
           !batch_active
-          && !accepted_this_round < config.repeat
+          && !accepted_this_round < repeat
           && !substitutions < config.max_substitutions
         do
           match try_pick pool used !ranked_cache with

@@ -1,14 +1,14 @@
 (** The POWDER optimization loop (Figure 5 of the paper).
 
     Repeatedly: generate candidate substitutions by signature matching,
-    pre-select by [PG_A + PG_B], re-estimate [PG_C] for the pre-selected
-    few, and try them best-first — discarding any that would violate the
+    pre-select by [PG_A + PG_B], re-estimate [PG_C] for the 12 best,
+    and try them best-first — discarding any that would violate the
     delay constraint (Section 3.4) or that the exact ATPG/equivalence
     check cannot prove permissible.  Every accepted substitution is
     applied in place, the transition probabilities of the affected
     transitive fanout are updated incrementally, and timing is
-    re-analyzed.  The inner loop performs up to [repeat] substitutions
-    per candidate-set generation. *)
+    re-analyzed.  The inner loop performs up to 8 substitutions per
+    candidate-set generation. *)
 
 type delay_mode =
   | Unconstrained
@@ -42,8 +42,6 @@ type config = {
   words : int;                  (** simulation words; patterns = 64 * words *)
   seed : int64;
   input_prob : string -> float; (** PI signal probabilities, by name *)
-  repeat : int;                 (** inner-loop batch size (Figure 5) *)
-  preselect : int;              (** candidates re-estimated with PG_C per pick *)
   delay : delay_mode;
   classes : Subst.klass list;
   per_target : int;
@@ -63,8 +61,7 @@ type config = {
       (** wall-clock budget for the whole run; expiry stops cleanly *)
   verify_applies : bool;
       (** wrap every apply in a {!Guard} transaction (journal +
-          independent re-simulation + [Circuit.validate]) *)
-  verify_words : int;           (** guard verifier pattern words *)
+          independent re-simulation over 8 words + [Circuit.validate]) *)
   checkpoint_every : int;
       (** canonicalize and (if a file is set) checkpoint every N
           rounds; 0 disables both *)

@@ -123,21 +123,6 @@ let test_optimizer_report_consistency () =
   in
   Alcotest.(check int) "class counts sum" report.Optimizer.substitutions class_count
 
-let test_tradeoff_sweep_shape () =
-  match Suite.find "rd84" with
-  | None -> Alcotest.fail "rd84 missing"
-  | Some spec ->
-    let builders = [ (fun () -> Suite.mapped spec) ] in
-    let points =
-      Powder.Tradeoff.sweep ~config:small_cfg ~percents:[ 0.0; 50.0 ] builders
-    in
-    Alcotest.(check int) "two points" 2 (List.length points);
-    List.iter
-      (fun p ->
-        Alcotest.(check bool) "relative power <= 1" true
-          (p.Powder.Tradeoff.relative_power <= 1.0 +. 1e-9))
-      points
-
 let suite =
   [
     ( "integration",
@@ -147,6 +132,5 @@ let suite =
         Alcotest.test_case "delay-constrained flow" `Slow test_flow_delay_constrained;
         Alcotest.test_case "looser constraint not worse" `Slow test_looser_constraint_never_worse;
         Alcotest.test_case "report consistency" `Slow test_optimizer_report_consistency;
-        Alcotest.test_case "tradeoff sweep" `Slow test_tradeoff_sweep_shape;
       ] );
   ]

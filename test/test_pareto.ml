@@ -144,8 +144,15 @@ let strip_volatile = function
       (List.filter (fun (k, _) -> k <> "jobs" && k <> "cpu_seconds") fields)
   | j -> j
 
+(* Figure 6 states its constraints as percentages; [Scale (1 + p/100)]
+   must reproduce [Ratio (p/100)]'s constraint bit for bit. *)
+let percent_scale p = Sweep.Scale (1.0 +. (p /. 100.0))
+
 let test_sweep_structure () =
-  let specs = [ Sweep.Scale 1.0; Sweep.Scale 1.25; Sweep.Unbounded ] in
+  let specs =
+    [ Sweep.Scale 1.0; percent_scale 10.0; Sweep.Scale 1.25;
+      percent_scale 200.0; Sweep.Unbounded ]
+  in
   let r = Sweep.run ~config:test_config ~specs ~name:"rd84" rd84 in
   Alcotest.(check int) "one point per spec" (List.length specs)
     (List.length r.Sweep.points);
@@ -176,7 +183,25 @@ let test_sweep_structure () =
     (fun p ->
       Alcotest.(check bool) "no glitch power under zero-delay cost" true
         (p.Frontier.glitch_power = None))
-    r.Sweep.points
+    r.Sweep.points;
+  (* the optimizer never increases power, whatever the constraint *)
+  List.iter
+    (fun (label, rep) ->
+      Alcotest.(check bool) (label ^ " final power <= initial power") true
+        (rep.Optimizer.final_power <= rep.Optimizer.initial_power +. 1e-9))
+    r.Sweep.reports;
+  (* percentage points carry exactly initial * (1 + p/100) *)
+  List.iter
+    (fun p ->
+      let label = Sweep.spec_to_string (percent_scale p) in
+      let rep = List.assoc label r.Sweep.reports in
+      let expected =
+        rep.Optimizer.initial_delay *. (1.0 +. (p /. 100.0))
+      in
+      Alcotest.(check (option int64)) (label ^ " constraint bit-exact")
+        (Some (Int64.bits_of_float expected))
+        (Option.map Int64.bits_of_float rep.Optimizer.delay_constraint))
+    [ 10.0; 200.0 ]
 
 let test_sweep_delay_rejections () =
   (* Section 3.4 satellite: at the keep-initial-delay constraint some
@@ -207,6 +232,15 @@ let test_sweep_jobs_deterministic () =
   let j2 = strip_volatile (Sweep.to_json (run 2)) in
   Alcotest.(check string) "jobs 1 and 2 byte-identical"
     (Obs.Json.to_string j1) (Obs.Json.to_string j2)
+
+let test_sweep_jobs_clamped () =
+  (* the report records the executors actually used, never a raw
+     non-positive request *)
+  let r =
+    Sweep.run ~config:test_config ~specs:[ Sweep.Unbounded ] ~jobs:0
+      ~name:"rd84" rd84
+  in
+  Alcotest.(check int) "jobs 0 runs on one executor" 1 r.Sweep.jobs
 
 let test_sweep_glitch_cost () =
   let config = Cost.apply (Cost.Glitch { pairs = 16 }) test_config in
@@ -300,6 +334,7 @@ let suite =
         Alcotest.test_case "delay constraint enforced" `Quick
           test_sweep_delay_rejections;
         Alcotest.test_case "jobs-deterministic" `Quick test_sweep_jobs_deterministic;
+        Alcotest.test_case "jobs clamped" `Quick test_sweep_jobs_clamped;
         Alcotest.test_case "glitch cost sweep" `Quick test_sweep_glitch_cost;
         Alcotest.test_case "is3 credit smoke" `Quick test_is3_credit_smoke;
         Alcotest.test_case "checkpoint resume" `Quick test_sweep_checkpoint_resume;
